@@ -288,17 +288,17 @@ func sleepUntil(t time.Time) {
 // prSetTimerslack is PR_SET_TIMERSLACK from <linux/prctl.h>.
 const prSetTimerslack = 29
 
-// openLoop sends ops first..first+count-1 of a stream (or fewer, once a
-// non-nil stop is set) on the conns on a fixed schedule at rate ops/s: op
-// i is due dueOffset(seed, i, rate) − first/rate after the call starts,
-// whether or not earlier replies have come back. An idle conn takes the
+// openLoop sends ops first..first+count-1 of a stream on the conns on a
+// fixed schedule at rate ops/s: op i is due dueOffset(seed, i, rate) −
+// first/rate after the call starts, whether or not earlier replies have
+// come back. An idle conn takes the
 // next op and waits for its due time; when every conn is busy the op goes
 // out late, and its latency still counts from the due time. mk builds op
 // i; pre and post run on the sending conn just before the send and once
 // the reply is in (outside the op's latency). The ops come back in index
 // order.
 func openLoop(ctx context.Context, conns []*conn, rate float64, first, count int, seed int64,
-	mk func(i int) *op, stop *atomic.Bool, pre, post func(context.Context, *conn, *op) error) ([]*op, error) {
+	mk func(i int) *op, pre, post func(context.Context, *conn, *op) error) ([]*op, error) {
 	start := time.Now().Add(5 * time.Millisecond).Add(-time.Duration(float64(first) / rate * float64(time.Second)))
 	var (
 		next    atomic.Int64
@@ -314,7 +314,7 @@ func openLoop(ctx context.Context, conns []*conn, rate float64, first, count int
 			defer wg.Done()
 			var mine []*op
 			err := func() error {
-				for stop == nil || !stop.Load() {
+				for {
 					i := int(next.Add(1)) - 1
 					if i >= first+count {
 						return nil
@@ -334,7 +334,6 @@ func openLoop(ctx context.Context, conns []*conn, rate float64, first, count int
 						return err
 					}
 				}
-				return nil
 			}()
 			mu.Lock()
 			defer mu.Unlock()
@@ -350,7 +349,7 @@ func openLoop(ctx context.Context, conns []*conn, rate float64, first, count int
 }
 
 // closedLoop runs ops back to back on the conns, each op due the moment a
-// conn is free to send it. It is for checks and preload, not for timing.
+// conn is free to send it.
 func closedLoop(ctx context.Context, conns []*conn, ops []*op) error {
 	var (
 		next    atomic.Int64

@@ -104,19 +104,29 @@ func (b *bench) perLayer(ctx context.Context) ([]detail, error) {
 	}
 	sort.Float64s(late)
 	add("client.late_ms", quantile(late, 0.99), "ms", len(late), "p99 send lateness, main window")
-	used := b.usedRounds()
-	reads := b.ofKind(b.mainPhase(), kLookup, kGet)
-	puts := b.ofKind("rw", kPut)
+	reads := opSamples(b.ofKind("read", kLookup, kGet))
+	puts := opSamples(b.ofKind("rw", kPut))
 	for _, q := range []float64{0.9, 0.99} {
 		name := fmt.Sprintf("p%.0f", 100*q)
-		add("client.read_"+name+"_ms", perRound(reads, q, used), "ms", len(reads), "reads of the main window, median over rounds")
-		add("client.put_"+name+"_ms", perRound(puts, q, used), "ms", len(puts), "puts of the rw phase, median over rounds")
+		v, n, note := b.calmQuantile(reads, q)
+		add("client.read_"+name+"_ms", v, "ms", n, "reads of the read phase, "+note)
+		v, n, note = b.calmQuantile(puts, q)
+		add("client.put_"+name+"_ms", v, "ms", n, "puts of the rw phase, "+note)
 	}
-
-	add("client.read_capacity_ops_s", b.lad.lo, "ops/s", len(b.lad.rungs), fmt.Sprintf("ladder rungs %v", b.lad.rungs))
+	churnReads := opSamples(b.ofKind("churn", kLookup))
+	for _, q := range []float64{0.5, 0.99} {
+		v, n, note := b.calmQuantile(churnReads, q)
+		add(fmt.Sprintf("client.churn_read_p%.0f_ms", 100*q), v, "ms", n, "lookups of the churn phase, beside an epoch build, "+note)
+	}
+	v, n, note := b.calmQuantile(b.capacity, 0.5)
+	add("client.read_capacity_ops_s", v, "ops/s", n*capacityOps, "closed-loop reads on both conns, median over slices, "+note)
+	advs := b.calm(opSamples(b.ofKind("churn", kAdvance)))
+	advTail, advNote := tail(advs)
+	add("client.advance_tail_ms", advTail, "ms", len(advs), "calm advances into healthy epochs, "+advNote)
 	mints := latencies(b.ofKind("churn", kMint))
 	add("client.mint_p50_ms", quantile(mints, 0.5), "ms", len(mints), "churn phase")
-	add("trace.read_p50_ms", perRound(reads, 0.5, used), "ms", len(reads), "read_p50_ms of this traced run; minus the untraced run's is the tracing overhead")
+	v, n, note = b.calmQuantile(reads, 0.5)
+	add("trace.read_p50_ms", v, "ms", n, "read_p50_ms of this traced run; minus the untraced run's is the tracing overhead; "+note)
 
 	var service []float64
 	for _, o := range b.ofKind("read", kLookup) {
@@ -276,9 +286,9 @@ func (b *bench) perLayer(ctx context.Context) ([]detail, error) {
 		restoreUs = append(restoreUs, rd...)
 	}
 	add("snapshot.restore_ms", median(restoreUs)/1e3, "ms", len(restoreUs), "median tinygroups.New on a copy of the killed dir")
-	add("snapshot.replayed_ops", float64(b.replayedOps), "ops", 1, "daemon /metrics replayed_ops after the last restart")
+	add("snapshot.replayed_ops", float64(b.replayedOps), "ops", 1, "daemon /metrics replayed_ops after the restart that follows round 0's last rw slice")
 	add("snapshot.oplog_bytes_per_put", float64(b.oplogBytes)/float64(max(1, b.oplogAppends)), "bytes", int(b.oplogAppends),
-		"op-log file size at the last SIGKILL ÷ the appends of the rw slice before it")
+		"op-log file size at the SIGKILL after round 0's last rw slice ÷ that slice's appends")
 
 	// epoch: two-phase build and flip on an in-memory System.
 	mem, err := tinygroups.New(sysN, tinygroups.WithSeed(sysSeed))

@@ -1,6 +1,6 @@
 // Command perfbench is the repository benchmark: it boots the real
 // tinygroupsd (n = 8192, one process, durable data dir), drives one of
-// three open-loop workloads against it from this single load process over
+// two open-loop workloads against it from this single load process over
 // at most two connections, checks every reply against an in-process
 // replica, and prints the end-to-end metrics (--trace 0) or the per-layer
 // metrics (--trace 1). perfbench/run.py builds both binaries from the
@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -38,12 +37,12 @@ type config struct {
 	source    string
 }
 
-var workloads = []string{"read-steady", "store-rw", "epoch-churn"}
+var workloads = []string{"read-steady", "epoch-churn"}
 
 func main() {
 	var cfg config
 	var trace int
-	flag.StringVar(&cfg.workload, "workload", "", "read-steady | store-rw | epoch-churn")
+	flag.StringVar(&cfg.workload, "workload", "", "read-steady | epoch-churn")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed: drives every op stream, key and value")
 	flag.IntVar(&cfg.seconds, "seconds", 10, "length of the workload's main timed window")
 	flag.IntVar(&trace, "trace", 0, "1: print the per-layer metrics instead of the end-to-end ones")
@@ -54,7 +53,7 @@ func main() {
 	flag.Parse()
 	cfg.trace = trace == 1
 	if !slices.Contains(workloads, cfg.workload) || cfg.seconds < 1 || cfg.daemonBin == "" || cfg.work == "" || (trace != 0 && trace != 1) {
-		fmt.Fprintln(os.Stderr, "perfbench: need --workload read-steady|store-rw|epoch-churn, --seconds ≥ 1, --trace 0|1, --daemon and --work")
+		fmt.Fprintln(os.Stderr, "perfbench: need --workload read-steady|epoch-churn, --seconds ≥ 1, --trace 0|1, --daemon and --work")
 		os.Exit(2)
 	}
 	// Senders block their threads in sleepUntil while holding a P; one
@@ -181,71 +180,11 @@ func latencies(ops []*op) []float64 {
 	return out
 }
 
-// perRound is the median over the used rounds of the q-quantile latency
-// of each round's successful ops: a slow spell of the machine moves the
-// quantile of the rounds it hits, not the median across rounds.
-func perRound(ops []*op, q float64, used [rounds]bool) float64 {
-	byRound := make([][]*op, rounds)
-	for _, o := range ops {
-		byRound[o.round] = append(byRound[o.round], o)
-	}
-	var qs []float64
-	for r, ops := range byRound {
-		if lat := latencies(ops); used[r] && len(lat) > 0 {
-			qs = append(qs, quantile(lat, q))
-		}
-	}
-	return median(qs)
-}
-
-// samplesIn flattens the per-round samples of the used rounds.
-func samplesIn(byRound [rounds][]float64, used [rounds]bool) []float64 {
-	var out []float64
-	for r, xs := range byRound {
-		if used[r] {
-			out = append(out, xs...)
-		}
-	}
-	return out
-}
-
-// windowedP99 is the median, over windows of the ops' due times, of each
-// window's p99 latency in ms. Failed ops are left out, or with asMiss
-// counted as infinitely late. Windows with fewer than 20 ops are skipped
-// unless no window has that many.
-func windowedP99(ops []*op, window time.Duration, asMiss bool) (float64, int) {
-	if len(ops) == 0 {
-		return math.NaN(), 0
-	}
-	start := ops[0].due
-	for _, o := range ops {
-		if o.due.Before(start) {
-			start = o.due
-		}
-	}
-	byWin := map[int][]float64{}
-	for _, o := range ops {
-		w := int(o.due.Sub(start) / window)
-		switch {
-		case !o.failed():
-			byWin[w] = append(byWin[w], float64(o.latency())/1e6)
-		case asMiss:
-			byWin[w] = append(byWin[w], math.Inf(1))
-		}
-	}
-	var p99s, small []float64
-	for _, lat := range byWin {
-		sort.Float64s(lat)
-		if len(lat) >= 20 {
-			p99s = append(p99s, quantile(lat, 0.99))
-		} else {
-			small = append(small, quantile(lat, 0.99))
-		}
-	}
-	if len(p99s) == 0 {
-		p99s = small
-	}
-	return median(p99s), len(p99s)
+// calmQuantile is the q-quantile of the calm samples of xs (see calm),
+// with their count and a note saying how many were left out.
+func (b *bench) calmQuantile(xs []sample, q float64) (float64, int, string) {
+	c := b.calm(xs)
+	return quantile(c, q), len(c), fmt.Sprintf("%d of %d samples: those with ≤ %.0f%% steal around them", len(c), len(xs), 100*stealLimit)
 }
 
 // tail is the highest percentile with at least ten samples beyond it:
@@ -265,40 +204,58 @@ func median(xs []float64) float64 {
 }
 
 func (b *bench) endToEnd(res *result) []detail {
-	main := b.mainPhase()
-	used := b.usedRounds()
-	reads := b.ofKind(main, kLookup, kGet)
-	puts := b.ofKind("rw", kPut)
-	// Advances are too few per round for a per-round median; they are
-	// pooled over every round.
-	advs := latencies(b.ofKind("churn", kAdvance))
-	setup, recov := samplesIn(b.setupS, used), samplesIn(b.recoverS, used)
-	advTail, advNote := tail(advs)
+	setup, nSetup, setupNote := b.calmQuantile(b.setupS, 0.5)
+	read, nRead, readNote := b.calmQuantile(opSamples(b.ofKind("read", kLookup, kGet)), 0.5)
+	put, nPut, putNote := b.calmQuantile(opSamples(b.ofKind("rw", kPut)), 0.5)
+	recov, nRecov, recovNote := b.calmQuantile(b.recoverS, 0.5)
+	advs := b.calm(opSamples(b.ofKind("churn", kAdvance)))
 	var msgs, n float64
-	for _, o := range b.ofKind(main, kLookup, kGet, kPut) {
-		if o.ok() {
-			msgs += float64(o.messages)
-			n++
+	for _, ops := range b.phases {
+		for _, o := range ops {
+			if o.ok() && (o.kind == kLookup || o.kind == kGet || o.kind == kPut) {
+				msgs += float64(o.messages)
+				n++
+			}
 		}
 	}
-	var usedList []int
-	for r, u := range used {
-		if u {
-			usedList = append(usedList, r)
-		}
-	}
-	rs := fmt.Sprintf("rounds %v of steal %.3f", usedList, b.steal)
-	src := fmt.Sprintf("%s phase, median over %s", main, rs)
+	rss := slices.Sorted(slices.Values(b.rssMB))
+	printJSON(map[string]any{"rounds": b.roundFigures(), "daemon_rss_mb": rss})
 	return []detail{
-		{"setup_s", median(setup), "s", len(setup), "median daemon exec → first /healthz 200, " + rs},
-		{"read_p50_ms", perRound(reads, 0.5, used), "ms", len(reads), src},
-		{"put_p50_ms", perRound(puts, 0.5, used), "ms", len(puts), "rw phase, median over " + rs},
-		{"recover_s", median(recov), "s", len(recov), "median SIGKILL → first correct get, " + rs},
-		{"advance_p50_ms", quantile(advs, 0.5), "ms", len(advs), "churn phase, advances into healthy epochs"},
-		{"advance_tail_ms", advTail, "ms", len(advs), advNote},
+		{"setup_s", setup, "s", nSetup, "median daemon exec → first /healthz 200, " + setupNote},
+		{"read_p50_ms", read, "ms", nRead, "read phase, " + readNote},
+		{"put_p50_ms", put, "ms", nPut, "rw phase, " + putNote},
+		{"recover_s", recov, "s", nRecov, "median SIGKILL → first accepted get, " + recovNote},
+		{"advance_p50_ms", quantile(advs, 0.5), "ms", len(advs), "churn phase, calm advances into healthy epochs"},
 		{"ok_frac", 1 - float64(res.Failed)/float64(res.Attempted), "frac", res.Attempted, "1 − fail_frac over every op of the run"},
-		{"msgs_per_lookup", msgs / n, "msgs", int(n), main + " phase"},
-		{"daemon_rss_mb", median(b.rssMB), "MiB", len(b.rssMB), "median over the run's daemon processes of VmHWM at their end"},
+		{"msgs_per_lookup", msgs / n, "msgs", int(n), "every routed reply of the run"},
+		{"daemon_rss_mb", quantile(rss, 0.75), "MiB", len(rss), "upper quartile of the VmHWM of the daemon processes that served a churn slice, at their end"},
+	}
+}
+
+// roundFigures is every round's own median of each timing, every sample
+// included, and the round's steal, for the record.
+func (b *bench) roundFigures() map[string]any {
+	p50s := func(xs []sample) []any {
+		var byRound [rounds][]float64
+		for _, x := range xs {
+			byRound[x.round] = append(byRound[x.round], x.v)
+		}
+		out := make([]any, rounds) // null for a round without samples
+		for r, vs := range byRound {
+			if len(vs) > 0 {
+				out[r] = median(vs)
+			}
+		}
+		return out
+	}
+	return map[string]any{
+		"steal":          b.steal,
+		"setup_s":        p50s(b.setupS),
+		"recover_s":      p50s(b.recoverS),
+		"read_p50_ms":    p50s(opSamples(b.ofKind("read", kLookup, kGet))),
+		"put_p50_ms":     p50s(opSamples(b.ofKind("rw", kPut))),
+		"advance_p50_ms": p50s(opSamples(b.ofKind("churn", kAdvance))),
+		"capacity":       p50s(b.capacity),
 	}
 }
 

@@ -22,7 +22,7 @@ import sys
 ROOT = os.getcwd()
 BUILD = os.path.join(ROOT, ".bench_build")
 BENCH_DIR = os.path.join(ROOT, "perfbench")
-WORKLOADS = ["read-steady", "store-rw", "epoch-churn"]
+WORKLOADS = ["read-steady", "epoch-churn"]
 
 
 def fail(msg):

@@ -24,48 +24,48 @@ const (
 
 // Workload shape. A run is `rounds` rounds, each running a slice of every
 // phase in the same order (see bench.round). The machine this runs on is
-// shared and its speed drifts for a second or two at a time; spreading
-// every metric's samples over the whole run and reporting medians keeps
-// one slow spell from moving a run's figures. The workload decides which
-// phase is its main window, --seconds long in total; the others run in
-// their short form.
+// shared and its speed drifts for seconds at a time; spreading every
+// metric's samples over the whole run and reporting medians keeps one slow
+// spell from moving a run's figures. The workload decides which phase is
+// its main window (read-steady: read, epoch-churn: churn), --seconds long
+// in total; the others run in their short form.
 const (
-	rounds = 5
+	rounds = 16
 
 	keys     = 4096              // preloaded keyspace, k00000000..k00004095
 	probeKey = "perfbench-probe" // preloaded, never rewritten: the recovery probe
 
 	preloadBatch = 2048 // pairs per /v1/put/batch; the daemon takes at most 4096
 
-	setupBootsPerRound = 2 // throwaway boots per round; setup_s is the median of all boots
+	setupBootsPerRound = 1 // throwaway boots per round; setup_s is the median of the calm boots
+	restartsPerRound   = 2 // rw slices per round, each followed by a SIGKILL and restart
 
-	readRate  = 2000.0 // ops/s, half /v1/lookup, half /v1/get
-	rwRate    = 2000.0 // ops/s, half /v1/put, half /v1/get
-	churnRate = 1000.0 // ops/s on the stream conn during advances
-	mintEvery = 25     // every 25th churn-stream op is a /v1/mint of one ID
-	mintCount = 1
+	// capturedSlice is the rw slice whose SIGKILL the traced run's op-log
+	// and restore figures come from: the last of round 0, before any
+	// advance, so that it is a healthy epoch's on every workload, and
+	// after a restart, so that its op log holds that slice's puts only.
+	capturedSlice = restartsPerRound - 1
 
-	shortSecs     = 3  // total length of a read or rw phase that is not the main window
-	shortAdvances = 20 // advances of a churn phase that is not the main window
-	advancesPerS  = 3  // advances per --second in the epoch-churn main window
+	readRate        = 2000.0 // ops/s, half /v1/lookup, half /v1/get
+	rwRate          = 2000.0 // ops/s, half /v1/put, half /v1/get
+	churnRate       = 1000.0 // ops/s on the stream conn during advances
+	churnPerAdvance = 150    // stream ops beside each advance: 150 ms at churnRate, less than a build
+	mintEvery       = 25     // every 25th churn-stream op is a /v1/mint of one ID
+	mintCount       = 1
 
-	// The read capacity ladder: rungs of rungSecs, rising by rungStep
-	// from ladderStart until read p99 (failed ops count as misses, median
-	// over rungWindow windows) breaks ladderLimit twice at one rate, then
-	// bisectSteps bisections between the last passing and the first
-	// failing rate. A rung the hypervisor stole more than stealLimit of is
-	// run again, up to maxRungs rungs in all. Each round runs rungsPerRound
-	// attempts; the last round finishes the search.
-	ladderStart   = 6000.0
-	ladderFloor   = 100.0
-	ladderCeil    = 1e6
-	rungStep      = 1.25
-	rungSecs      = 0.6
-	rungWindow    = 200 * time.Millisecond
-	bisectSteps   = 3
-	ladderLimit   = 10 * time.Millisecond
-	rungsPerRound = 2
-	maxRungs      = 30
+	shortSecs     = 10  // total length of a read or rw phase that is not the main window
+	shortAdvances = 20  // advances of a churn phase that is not the main window
+	advancesPerS  = 1.5 // advances per --second in the epoch-churn main window
+
+	// The read capacity slice: capacityOps reads of the read mix per
+	// round, closed loop on both conns, so the daemon is kept busy by two
+	// callers that each wait for their reply and is never overloaded.
+	capacityOps = 2000
+
+	// Untimed closed-loop reads before every read and rw slice, so each
+	// slice meets a daemon whose connections, caches and heap are warm,
+	// also right after a restart.
+	warmupOps = 300
 
 	// An advance whose reply reports this search-fail rate or more built
 	// an epoch that cannot serve (the known group collapse): it counts as a
@@ -89,20 +89,21 @@ type bench struct {
 	trail   []health       // every /healthz the churn slices read
 	preload []byte         // value preloaded under probeKey
 
-	setupS   [rounds][]float64 // boot times by round
-	recoverS [rounds][]float64 // SIGKILL → first correct get, by round
-	steal    [rounds]float64   // steal share of CPU time over each round
-	lad      ladder
+	sl       *stealLog
+	setupS   []sample        // exec → first healthy reply of every boot, s
+	recoverS []sample        // SIGKILL → first accepted get of every restart, s
+	capacity []sample        // closed-loop read ops/s of every capacity slice
+	steal    [rounds]float64 // steal share of CPU time over each round
 
 	cpuTicks     int64 // daemon CPU over the main window
 	mainCount    int
 	putCalls     int64     // /metrics put batches over the rw slices ...
 	putOps       int64     // ... and the puts they carried
-	oplogAppends int64     // op-log appends of the last rw slice
-	oplogBytes   int64     // op-log file size at the last SIGKILL
-	replayedOps  int64     // ops replayed by the last restart
+	oplogAppends int64     // op-log appends of capturedSlice
+	oplogBytes   int64     // op-log file size at its SIGKILL
+	replayedOps  int64     // ops replayed by the restart after it
 	rssMB        []float64 // VmHWM of each daemon process of the run
-	killedDir    string    // copy of the data dir at the last SIGKILL
+	killedDir    string    // copy of the data dir at that SIGKILL
 
 	spans []span
 }
@@ -112,30 +113,28 @@ func (b *bench) mainPhase() string {
 	switch b.cfg.workload {
 	case "read-steady":
 		return "read"
-	case "store-rw":
-		return "rw"
 	}
 	return "churn"
 }
 
-// share splits total into `rounds` near-equal parts and returns part r.
-func share(total, r int) int { return (r+1)*total/rounds - r*total/rounds }
+// shareOf splits total into n near-equal parts and returns part k.
+func shareOf(total, k, n int) int { return (k+1)*total/n - k*total/n }
 
-// sliceOps is how many ops of phase's stream at rate round r sends.
-func (b *bench) sliceOps(phase string, rate float64, r int) int {
+// phaseOps is how many ops phase's stream at rate sends over the run.
+func (b *bench) phaseOps(phase string, rate float64) int {
 	secs := math.Min(shortSecs, float64(b.cfg.seconds))
 	if b.mainPhase() == phase {
 		secs = float64(b.cfg.seconds)
 	}
-	return share(int(rate*secs), r)
+	return int(rate * secs)
 }
 
 func (b *bench) advances(r int) int {
-	n := min(shortAdvances, advancesPerS*b.cfg.seconds)
-	if b.mainPhase() == "churn" {
-		n = advancesPerS * b.cfg.seconds
+	n := int(advancesPerS * float64(b.cfg.seconds))
+	if b.mainPhase() != "churn" {
+		n = min(shortAdvances, n)
 	}
-	return share(n, r)
+	return shareOf(n, r, rounds)
 }
 
 // phaseSeed derives an independent op-stream seed per phase.
@@ -153,8 +152,11 @@ func (b *bench) conns() []*conn { return b.conn[:] }
 
 func (b *bench) dataDir(name string) string { return filepath.Join(b.cfg.work, name) }
 
-// run boots the daemon, preloads it and runs the rounds.
+// run boots the daemon, preloads it and runs the rounds, logging the
+// machine's steal throughout.
 func (b *bench) run(ctx context.Context) error {
+	b.sl = startStealLog()
+	defer b.sl.close()
 	b.phases, b.next = map[string][]*op{}, map[string]int{}
 	dir := b.dataDir("daemon")
 	if err := os.RemoveAll(dir); err != nil {
@@ -164,12 +166,11 @@ func (b *bench) run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	b.setupS[0] = append(b.setupS[0], s)
+	b.setupS = append(b.setupS, s)
 	b.attach(d)
 	if err := b.preloadKeys(ctx); err != nil {
 		return err
 	}
-	b.lad.next = ladderStart
 	for r := 0; r < rounds; r++ {
 		if err := b.round(ctx, r); err != nil {
 			return fmt.Errorf("round %d: %w", r, err)
@@ -180,8 +181,8 @@ func (b *bench) run(ctx context.Context) error {
 
 // round runs one slice of every phase. The churn slice comes last, so
 // an epoch collapse inside it can only fail the ops that follow it in the
-// same slice. The last round also reads every key back before the SIGKILL
-// and after the restart.
+// same slice and in later rounds. The last round also reads every key
+// back before its last SIGKILL and after that restart.
 func (b *bench) round(ctx context.Context, r int) error {
 	type step struct {
 		name string
@@ -190,24 +191,49 @@ func (b *bench) round(ctx context.Context, r int) error {
 	last := r == rounds-1
 	steps := []step{
 		{"setup", func() error { return b.setupSlice(ctx, r) }},
+		{"warmup", func() error { return b.closedReads(ctx, "warmup", r, warmupOps) }},
 		{"read", func() error { return b.readSlice(ctx, r) }},
-		{"ladder", func() error { return b.ladderSlice(ctx, r) }},
-		{"rw", func() error { return b.rwSlice(ctx, r) }},
+		{"capacity", func() error {
+			t0 := time.Now()
+			err := b.closedReads(ctx, "capacity", r, capacityOps)
+			t1 := time.Now()
+			b.capacity = append(b.capacity, sample{capacityOps / t1.Sub(t0).Seconds(), t0, t1, r})
+			return err
+		}},
 	}
-	if last {
-		steps = append(steps, step{"readback-before", func() error { return b.readback(ctx, "readback-before", r) }})
+	for k := 0; k < restartsPerRound; k++ {
+		steps = append(steps, step{"warmup", func() error { return b.closedReads(ctx, "warmup", r, warmupOps) }},
+			step{"rw", func() error { return b.rwSlice(ctx, r*restartsPerRound+k) }})
+		if last && k == restartsPerRound-1 {
+			steps = append(steps, step{"readback-before", func() error { return b.readback(ctx, "readback-before", r) }})
+		}
+		steps = append(steps, step{"recover", func() error { return b.recoverCycle(ctx, r, k) }})
 	}
-	steps = append(steps, step{"recover", func() error { return b.recoverCycle(ctx, r) }})
 	if last {
 		steps = append(steps, step{"readback-after", func() error { return b.readback(ctx, "readback-after", r) }})
 	}
 	steps = append(steps, step{"churn", func() error { return b.churnSlice(ctx, r) }})
-	sm := startSteal()
-	defer func() { b.steal[r] = sm.frac() }()
+	t0 := time.Now()
+	defer func() { b.steal[r] = b.sl.share(t0, time.Now()) }()
 	for _, s := range steps {
 		t := time.Now()
+		main := s.name == b.mainPhase()
+		n0, c0, err := len(b.phases[s.name]), int64(0), error(nil)
+		if main {
+			if c0, err = b.d.cpuTicks(); err != nil {
+				return err
+			}
+		}
 		if err := s.fn(); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
+		}
+		if main {
+			c1, err := b.d.cpuTicks()
+			if err != nil {
+				return err
+			}
+			b.cpuTicks += c1 - c0
+			b.mainCount += len(b.phases[s.name]) - n0
 		}
 		fmt.Fprintf(os.Stderr, "perfbench: round %d %s %.2fs\n", r, s.name, time.Since(t).Seconds())
 	}
@@ -216,19 +242,20 @@ func (b *bench) round(ctx context.Context, r int) error {
 
 // boot starts a daemon on dir and waits for its first healthy reply,
 // returning the time from exec to that reply.
-func (b *bench) boot(ctx context.Context, dir string) (*daemon, float64, error) {
+func (b *bench) boot(ctx context.Context, dir string) (*daemon, sample, error) {
 	t0 := time.Now()
 	d, err := startDaemon(b.cfg.daemonBin, dir, sysN, sysSeed)
 	if err != nil {
-		return nil, 0, err
+		return nil, sample{}, err
 	}
 	c := newConn(d.base)
 	defer c.close()
 	if err := d.waitReady(ctx, c); err != nil {
 		d.kill()
-		return nil, 0, err
+		return nil, sample{}, err
 	}
-	return d, time.Since(t0).Seconds(), nil
+	t1 := time.Now()
+	return d, sample{t1.Sub(t0).Seconds(), t0, t1, 0}, nil
 }
 
 func (b *bench) attach(d *daemon) {
@@ -257,7 +284,8 @@ func (b *bench) setupSlice(ctx context.Context, r int) error {
 		if err := os.RemoveAll(dir); err != nil {
 			return err
 		}
-		b.setupS[r] = append(b.setupS[r], s)
+		s.round = r
+		b.setupS = append(b.setupS, s)
 	}
 	return nil
 }
@@ -330,41 +358,21 @@ func (b *bench) post(ctx context.Context, c *conn, o *op) error {
 	return nil
 }
 
-// stream runs the next count ops (or until stop) of phase's open-loop
-// stream on conns at rate, tags them with round r and records them. Op i
-// is built by mk(seed, i); the slices of a run are one schedule with the
-// gaps between slices cut out. Daemon CPU over a main-window slice
-// counts toward daemon.cpu_us_per_op.
+// stream runs the next count ops of phase's open-loop stream on conns at
+// rate, tags them with round r and records them. Op i is built by
+// mk(seed, i); the slices of a run are one schedule with the gaps between
+// slices cut out.
 func (b *bench) stream(ctx context.Context, phase string, r int, conns []*conn, rate float64, count int,
-	stop *atomic.Bool, mk func(seed int64, i int) *op) ([]*op, error) {
+	mk func(seed int64, i int) *op) error {
 	seed := b.phaseSeed(phase)
 	first := b.next[phase]
-	main := b.mainPhase() == phase
-	var t0 int64
-	if main {
-		var err error
-		if t0, err = b.d.cpuTicks(); err != nil {
-			return nil, err
-		}
-	}
-	ops, err := openLoop(ctx, conns, rate, first, count, seed, func(i int) *op { return mk(seed, i) }, stop, b.pre, b.post)
+	ops, err := openLoop(ctx, conns, rate, first, count, seed, func(i int) *op { return mk(seed, i) }, b.pre, b.post)
 	for _, o := range ops {
 		o.round = r
 	}
 	b.next[phase] = first + len(ops)
 	b.phases[phase] = append(b.phases[phase], ops...)
-	if err != nil {
-		return nil, err
-	}
-	if main {
-		t1, err := b.d.cpuTicks()
-		if err != nil {
-			return nil, err
-		}
-		b.cpuTicks += t1 - t0
-		b.mainCount += len(ops)
-	}
-	return ops, nil
+	return err
 }
 
 // Op content of the read streams comes from the loadgen generators'
@@ -382,15 +390,16 @@ func readMix(seed int64, i int) *op {
 // readSlice is the read-steady stream: open-loop lookups and gets at
 // readRate on both conns, no writes, no advances.
 func (b *bench) readSlice(ctx context.Context, r int) error {
-	_, err := b.stream(ctx, "read", r, b.conns(), readRate, b.sliceOps("read", readRate, r), nil, readMix)
-	return err
+	return b.stream(ctx, "read", r, b.conns(), readRate, shareOf(b.phaseOps("read", readRate), r, rounds), readMix)
 }
 
 var rwMix = loadgen.ReadWriteMix(keys, 0.5)
 
-// rwSlice is the store-rw stream: open-loop puts and gets, half each,
-// drawn by loadgen.ReadWriteMix at rwRate on both conns.
-func (b *bench) rwSlice(ctx context.Context, r int) error {
+// rwSlice is slice k of the rw stream (restartsPerRound slices a round):
+// open-loop puts and gets, half each, drawn by loadgen.ReadWriteMix at
+// rwRate on both conns.
+func (b *bench) rwSlice(ctx context.Context, k int) error {
+	r := k / restartsPerRound
 	mk := func(seed int64, i int) *op {
 		g := rwMix.Op(seed, i)
 		if g.Kind == loadgen.KindPut {
@@ -402,7 +411,7 @@ func (b *bench) rwSlice(ctx context.Context, r int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := b.stream(ctx, "rw", r, b.conns(), rwRate, b.sliceOps("rw", rwRate, r), nil, mk); err != nil {
+	if err := b.stream(ctx, "rw", r, b.conns(), rwRate, shareOf(b.phaseOps("rw", rwRate), k, rounds*restartsPerRound), mk); err != nil {
 		return err
 	}
 	m1, err := b.conn[0].metrics(ctx)
@@ -411,7 +420,9 @@ func (b *bench) rwSlice(ctx context.Context, r int) error {
 	}
 	b.putCalls += m1.Batch.PutCalls - m0.Batch.PutCalls
 	b.putOps += m1.Batch.PutOps - m0.Batch.PutOps
-	b.oplogAppends = m1.Durability.OplogAppends - m0.Durability.OplogAppends
+	if k == capturedSlice {
+		b.oplogAppends = m1.Durability.OplogAppends - m0.Durability.OplogAppends
+	}
 	return nil
 }
 
@@ -426,7 +437,7 @@ func (b *bench) readback(ctx context.Context, phase string, r int) error {
 	return closedLoop(ctx, b.conns(), ops)
 }
 
-// notePeakRSS records the daemon's VmHWM; it runs before every kill,
+// notePeakRSS records the daemon's VmHWM; it runs before a kill,
 // since a restarted process starts a new high-water mark.
 func (b *bench) notePeakRSS() error {
 	mb, err := b.d.peakRSSMB()
@@ -435,18 +446,26 @@ func (b *bench) notePeakRSS() error {
 }
 
 // recoverCycle SIGKILLs the daemon and restarts it on the same data dir;
-// the restart replays the puts of this round's rw slice. recover_s is
-// SIGKILL → the first correct get after the restart. In the last round
-// the killed dir is also copied, untimed, for the traced run's restore
-// and op-log measurements.
-func (b *bench) recoverCycle(ctx context.Context, r int) error {
-	if err := b.notePeakRSS(); err != nil {
-		return err
+// the restart replays the puts of the rw slice before it (the previous
+// restart folded everything older into a checkpoint). recover_s is
+// SIGKILL → the first get after the restart whose reply the check can
+// accept: the preloaded value, or unreachable. Cycle k = 0 of a
+// round r > 0 kills the process that served the churn slice of round r−1;
+// only such processes, and the one the run ends with, have their peak RSS
+// noted, so daemon_rss_mb compares processes that did the same work. At
+// the kill after capturedSlice the killed dir is also copied, untimed, for
+// the traced run's restore and op-log measurements.
+func (b *bench) recoverCycle(ctx context.Context, r, k int) error {
+	if k == 0 && r > 0 {
+		if err := b.notePeakRSS(); err != nil {
+			return err
+		}
 	}
 	t0 := time.Now()
 	b.d.kill()
 	killS := time.Since(t0).Seconds()
-	if r == rounds-1 {
+	captured := r*restartsPerRound+k == capturedSlice
+	if captured {
 		b.killedDir = b.dataDir("killed")
 		if err := copyDir(b.d.dir, b.killedDir); err != nil {
 			return err
@@ -469,7 +488,10 @@ func (b *bench) recoverCycle(ctx context.Context, r int) error {
 		if err := b.conn[0].do(ctx, o); err != nil {
 			return err
 		}
-		if o.ok() && string(o.value) == string(b.preload) {
+		// An unreachable answer is as final as the value: the daemon is
+		// serving the restored epoch, and the check compares it with the
+		// replica's answer there.
+		if (o.ok() && string(o.value) == string(b.preload)) || o.code == "unreachable" {
 			b.phases["recover"] = append(b.phases["recover"], o)
 			break
 		}
@@ -478,12 +500,15 @@ func (b *bench) recoverCycle(ctx context.Context, r int) error {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	b.recoverS[r] = append(b.recoverS[r], killS+time.Since(t1).Seconds())
+	t2 := time.Now()
+	b.recoverS = append(b.recoverS, sample{killS + t2.Sub(t1).Seconds(), t0, t2, r})
 	m, err := b.conn[0].metrics(ctx)
 	if err != nil {
 		return err
 	}
-	b.replayedOps = m.Durability.ReplayedOps
+	if captured {
+		b.replayedOps = m.Durability.ReplayedOps
+	}
 	return nil
 }
 
@@ -491,7 +516,10 @@ func (b *bench) recoverCycle(ctx context.Context, r int) error {
 // /v1/epoch/advance back to back for this round's share of the advances
 // and reading /healthz before the first and after each; conn 1 carries an
 // open-loop stream of lookups with every mintEvery-th op a /v1/mint, each
-// mint's claim then checked through /v1/verify.
+// mint's claim then checked through /v1/verify. The stream sends
+// churnPerAdvance ops beside each advance, starting as the advance is
+// sent, so the op count does not depend on how long the builds take; the
+// next advance goes out once both are done.
 func (b *bench) churnSlice(ctx context.Context, r int) error {
 	h, err := b.conn[0].health(ctx)
 	if err != nil {
@@ -505,124 +533,55 @@ func (b *bench) churnSlice(ctx context.Context, r int) error {
 		}
 		return &op{kind: kLookup, key: lookups.Op(seed, i).Key}
 	}
-	var (
-		stop   atomic.Bool
-		advOps []*op
-		opErr  error
-		wg     sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer stop.Store(true)
-		for k := 0; k < b.advances(r); k++ {
-			o := &op{kind: kAdvance, due: time.Now(), round: r}
-			b.started.Add(1)
-			if opErr = b.conn[0].do(ctx, o); opErr != nil {
-				return
-			}
-			advOps = append(advOps, o)
-			if !o.ok() {
-				opErr = fmt.Errorf("advance answered %s", o.code)
-				return
-			}
-			b.committed.Store(int64(o.stats.Epoch))
-			h, err := b.conn[0].health(ctx)
-			if err != nil {
-				opErr = err
-				return
-			}
-			b.trail = append(b.trail, h)
+	for k := 0; k < b.advances(r); k++ {
+		var (
+			adv    = &op{kind: kAdvance, due: time.Now(), round: r}
+			advErr error
+			wg     sync.WaitGroup
+		)
+		b.started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			advErr = b.conn[0].do(ctx, adv)
+		}()
+		err := b.stream(ctx, "churn", r, b.conn[1:], churnRate, churnPerAdvance, mk)
+		wg.Wait()
+		if advErr != nil {
+			return advErr
 		}
-	}()
-	_, err = b.stream(ctx, "churn", r, b.conn[1:], churnRate, math.MaxInt32, &stop, mk)
-	wg.Wait()
-	// The advances join the stream's ops in the churn phase; their daemon
-	// CPU is already inside the stream's accounting window.
-	b.phases["churn"] = append(b.phases["churn"], advOps...)
-	if b.mainPhase() == "churn" {
-		b.mainCount += len(advOps)
-	}
-	if err != nil {
-		return err
-	}
-	return opErr
-}
-
-// ladder is the state of the capacity search across rounds.
-type ladder struct {
-	lo, hi     float64 // highest passing and lowest failing rate so far (0: none yet)
-	next       float64 // rate of the next attempt
-	retry      bool    // the next attempt repeats a rate that failed once
-	bisections int
-	done       bool
-	rungs      []rung
-}
-
-type rung struct {
-	rate, p99ms, steal float64
-	pass               bool
-}
-
-func (r rung) String() string {
-	verdict := "fail"
-	if r.pass {
-		verdict = "pass"
-	}
-	return fmt.Sprintf("%.0f/s p99 %.2fms steal %.1f%% %s", r.rate, r.p99ms, 100*r.steal, verdict)
-}
-
-// ladderSlice runs this round's attempts of the capacity search: the
-// highest read rate whose p99 — timed from the intended send, failed ops
-// counted as misses, median over the rung's windows — stays within
-// ladderLimit. A sustained overload builds a backlog that fails most
-// windows; a passing stall fails one. A rate fails only when a second
-// attempt at it fails too. The last round finishes the search.
-func (b *bench) ladderSlice(ctx context.Context, r int) error {
-	l := &b.lad
-	for n := 0; !l.done && (n < rungsPerRound || r == rounds-1); n++ {
-		sm := startSteal()
-		ops, err := b.stream(ctx, "ladder", r, b.conns(), l.next, int(l.next*rungSecs), nil, readMix)
+		b.phases["churn"] = append(b.phases["churn"], adv)
 		if err != nil {
 			return err
 		}
-		p99, _ := windowedP99(ops, rungWindow, true)
-		pass := p99 <= float64(ladderLimit)/1e6
-		stolen := sm.frac()
-		l.rungs = append(l.rungs, rung{rate: l.next, p99ms: p99, pass: pass, steal: stolen})
-		time.Sleep(100 * time.Millisecond) // let any backlog drain
-		if stolen > stealLimit && len(l.rungs) < maxRungs {
-			continue // disturbed: try the same rate again
+		if !adv.ok() {
+			return fmt.Errorf("advance answered %s", adv.code)
 		}
-		if !pass && !l.retry {
-			l.retry = true
-			continue
+		b.committed.Store(int64(adv.stats.Epoch))
+		h, err := b.conn[0].health(ctx)
+		if err != nil {
+			return err
 		}
-		l.retry = false
-		if pass {
-			l.lo = l.next
-		} else {
-			l.hi = l.next
-		}
-		switch {
-		case l.hi == 0:
-			l.next *= rungStep
-		case l.lo == 0:
-			l.next /= rungStep
-		case l.bisections == bisectSteps:
-			l.done = true
-		default:
-			if l.hi < l.lo { // a noisy rate failed below a passing one
-				l.lo, l.hi = l.hi, l.lo
-			}
-			l.next = (l.lo + l.hi) / 2
-			l.bisections++
-		}
-		if l.next < ladderFloor || l.next > ladderCeil {
-			return fmt.Errorf("no capacity between %.0f and %.0f ops/s", float64(ladderFloor), float64(ladderCeil))
-		}
+		b.trail = append(b.trail, h)
 	}
 	return nil
+}
+
+// closedReads sends the next n reads of phase's read-mix stream closed
+// loop on both conns and records them under phase.
+func (b *bench) closedReads(ctx context.Context, phase string, r, n int) error {
+	seed := b.phaseSeed(phase)
+	first := b.next[phase]
+	ops := make([]*op, n)
+	for k := range ops {
+		ops[k] = readMix(seed, first+k)
+		ops[k].idx, ops[k].round = first+k, r
+		ops[k].epochLo, ops[k].epochHi = int(b.committed.Load()), int(b.started.Load())
+	}
+	err := closedLoop(ctx, b.conns(), ops)
+	b.next[phase] = first + n
+	b.phases[phase] = append(b.phases[phase], ops...)
+	return err
 }
 
 // collapsed reports whether an advance built an epoch that cannot serve.

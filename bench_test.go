@@ -320,10 +320,9 @@ func BenchmarkPoWSolveSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveSharded is the mining-engine trajectory benchmark recorded
-// in BENCH_hotpaths.json and compared in BENCH_pow.json: one explicit
-// worker, so ns/op tracks the per-attempt hash cost rather than scheduling,
-// with throughput surfaced as hashes/s.
+// BenchmarkSolveSharded is the mining-engine trajectory benchmark: one
+// explicit worker, so ns/op tracks the per-attempt hash cost rather than
+// scheduling, with throughput surfaced as hashes/s.
 func BenchmarkSolveSharded(b *testing.B) {
 	p := pow.Params{Tau: ring.Point(^uint64(0) >> 10), StringLen: 32}
 	rstr := pow.EpochString(1, 0, 32)
@@ -446,9 +445,9 @@ func BenchmarkEpochConstruction(b *testing.B) {
 }
 
 // BenchmarkRunEpoch measures one steady-state epoch (n = 1024, defaults)
-// at a single worker — the sequential-pipeline number BENCH_epoch.json
-// tracks. The pre-pipeline sequential implementation measured
-// 83.6 ms/op and 1,036,614 allocs/op on the same workload.
+// at a single worker — the sequential-pipeline number. The pre-pipeline
+// sequential implementation measured 83.6 ms/op and 1,036,614 allocs/op on
+// the same workload.
 func BenchmarkRunEpoch(b *testing.B) {
 	cfg := epoch.DefaultConfig(1024)
 	cfg.Seed = 1

@@ -15,6 +15,12 @@
 // fingerprint, and return every acknowledged key from disk — a fresh
 // bootstrap would answer those gets with 404.
 //
+// The last phase is a second, quiet crash of the restarted daemon, which
+// runs with -epoch-interval 0: one advance, one put that lives only in the
+// op log, SIGKILL, restart, and the recovered /healthz must match the
+// pre-kill epoch and fingerprint exactly, with every acknowledged key
+// (the op-log tail included) served back.
+//
 // Usage:
 //
 //	chaos -daemon PATH [-addr HOST:PORT] [-n N] [-mint-work W]
@@ -395,13 +401,68 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Phase 6: graceful drain of the survivor.
-	current.Store(nil)
-	if err := d2.stop(30 * time.Second); err != nil {
+	// Phase 6: a second, quiet crash — the snapshot + op-log shape alone,
+	// with no attack load and no timing games. The restarted daemon holds
+	// its epoch still, so one explicit advance writes a boundary snapshot,
+	// a put after it lives only in the op log, and recovery must land on
+	// exactly the recorded epoch and fingerprint, not a sampled trail.
+	if _, err := target.Do(ctx, loadgen.Op{Kind: loadgen.KindAdvance}); err != nil {
+		fmt.Fprintf(stderr, "chaos: quiet-crash advance: %v\n", err)
+		return 1
+	}
+	tailKey, tailVal := "", []byte("survives-the-oplog-replay")
+	for i := 0; i < 8 && tailKey == ""; i++ {
+		if key := fmt.Sprintf("chaos-oplog-tail-%d", i); putKey(httpc, base, key, tailVal) {
+			tailKey = key
+		}
+	}
+	if tailKey == "" {
+		fmt.Fprintln(stderr, "chaos: FAIL — no op-log tail put was acknowledged")
+		return 1
+	}
+	durable[tailKey] = tailVal
+	before, err := fetchHealth(httpc, base)
+	if err != nil {
+		fmt.Fprintf(stderr, "chaos: pre-kill healthz: %v\n", err)
+		return 1
+	}
+	d2.kill()
+	d3, err := startDaemon(*daemon, stderr, restartArgs...)
+	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "chaos: PASS — recovered at %.4f success (floor %.2f), clean drain\n",
+	current.Store(d3.cmd)
+	if err := target.WaitReady(ctx, 30*time.Second); err != nil {
+		fmt.Fprintf(stderr, "chaos: second restart: %v\n", err)
+		return 1
+	}
+	after, err := fetchHealth(httpc, base)
+	if err != nil {
+		fmt.Fprintf(stderr, "chaos: second post-restart healthz: %v\n", err)
+		return 1
+	}
+	if !after.Recovered || after.Epoch != before.Epoch || after.Fingerprint != before.Fingerprint {
+		fmt.Fprintf(stderr, "chaos: FAIL — quiet crash recovered=%v at epoch %d/%s, want %d/%s\n",
+			after.Recovered, after.Epoch, after.Fingerprint, before.Epoch, before.Fingerprint)
+		return 1
+	}
+	for key, want := range durable {
+		if got, ok := getKey(httpc, base, key); !ok || !bytes.Equal(got, want) {
+			fmt.Fprintf(stderr, "chaos: FAIL — key %q lost across the quiet crash (ok=%v)\n", key, ok)
+			return 1
+		}
+	}
+	fmt.Fprintf(stdout, "chaos: quiet crash verified — epoch %d fingerprint %s, %d keys intact (op-log tail %s)\n",
+		after.Epoch, after.Fingerprint, len(durable), tailKey)
+
+	// Phase 7: graceful drain of the survivor.
+	current.Store(nil)
+	if err := d3.stop(30 * time.Second); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "chaos: PASS — recovered at %.4f success (floor %.2f), quiet crash exact, clean drain\n",
 		tail.SuccessRate, *floor)
 	return 0
 }

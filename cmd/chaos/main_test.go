@@ -50,7 +50,7 @@ func freeAddr(t *testing.T) string {
 
 // TestChaosKillRestart is the harness's own end-to-end drill at small
 // scale: build the real daemon, run the full boot → attack → SIGKILL →
-// restart → friendly-tail sequence, and require a PASS.
+// restart → friendly-tail → quiet-crash sequence, and require a PASS.
 func TestChaosKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping kill/restart drill in -short mode")
@@ -73,7 +73,9 @@ func TestChaosKillRestart(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("chaos run exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if !bytes.Contains(stdout.Bytes(), []byte("chaos: PASS")) {
-		t.Fatalf("missing PASS line\nstdout:\n%s", stdout.String())
+	for _, line := range []string{"chaos: quiet crash verified", "chaos: PASS"} {
+		if !bytes.Contains(stdout.Bytes(), []byte(line)) {
+			t.Fatalf("missing %q line\nstdout:\n%s", line, stdout.String())
+		}
 	}
 }

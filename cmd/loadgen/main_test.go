@@ -46,7 +46,7 @@ func TestRunNoDaemon(t *testing.T) {
 }
 
 // TestRunAgainstDaemon is the zero-to-report path: a live serving layer,
-// the full default sweep, and a parseable BENCH_service.json on disk.
+// the full default sweep, and a parseable JSON report on disk.
 func TestRunAgainstDaemon(t *testing.T) {
 	sys, err := tinygroups.New(128, tinygroups.WithSeed(1), tinygroups.WithMintWork(1<<8))
 	if err != nil {
@@ -63,7 +63,7 @@ func TestRunAgainstDaemon(t *testing.T) {
 		}
 	}()
 
-	out := filepath.Join(t.TempDir(), "BENCH_service.json")
+	out := filepath.Join(t.TempDir(), "report.json")
 	var stdout, stderr bytes.Buffer
 	code := run(context.Background(), []string{
 		"-addr", ts.URL, "-ops", "80", "-concurrency", "3",

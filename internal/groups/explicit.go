@@ -13,10 +13,10 @@ import (
 // members and confused are indexed by ring rank: members[i] is the member
 // list of the group led by the i-th point of ov's ring and confused[i]
 // marks its neighbor establishment as failed (Lemma 8). This is the form
-// the epoch pipeline produces directly from its rank-indexed arenas; the
-// map-keyed BuildExplicit is a thin adapter over it. Short member lists
-// yield bad groups via the size criterion (definition (i)). The member
-// slices are retained by the graph, not copied; confused may be nil.
+// the epoch pipeline produces directly from its rank-indexed arenas. Short
+// member lists yield bad groups via the size criterion (definition (i)).
+// The member slices are retained by the graph, not copied; confused may be
+// nil.
 func BuildExplicitRanked(ov overlay.Graph, badIDs map[ring.Point]bool, params Params,
 	members [][]Member, confused []bool) *Graph {
 
@@ -48,28 +48,6 @@ func BuildExplicitRanked(ov overlay.Graph, badIDs map[ring.Point]bool, params Pa
 		}
 	}
 	return g
-}
-
-// BuildExplicit is BuildExplicitRanked for map-keyed memberships: members
-// maps each leader (every ID of ov's ring must appear) to its member list;
-// confused marks groups whose neighbor establishment failed.
-func BuildExplicit(ov overlay.Graph, badIDs map[ring.Point]bool, params Params,
-	members map[ring.Point][]Member, confused map[ring.Point]bool) *Graph {
-
-	r := ov.Ring()
-	n := r.Len()
-	ranked := make([][]Member, n)
-	var conf []bool
-	for wi, w := range r.Points() {
-		ranked[wi] = members[w]
-		if confused[w] {
-			if conf == nil {
-				conf = make([]bool, n)
-			}
-			conf[wi] = true
-		}
-	}
-	return BuildExplicitRanked(ov, badIDs, params, ranked, conf)
 }
 
 // BlueLeaders returns the leaders of all blue (non-red) groups, the
